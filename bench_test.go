@@ -36,9 +36,29 @@ var (
 func benchCampaign(b *testing.B) *experiments.Campaign {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchCamp = experiments.RunCampaign(2012, experiments.SmallScale())
+		benchCamp = mustBenchCampaign(b, 2012, experiments.SmallScale(), fleet.Config{Shards: 1})
 	})
 	return benchCamp
+}
+
+// mustBenchCampaign materializes a campaign under a background context.
+func mustBenchCampaign(b *testing.B, seed int64, sc experiments.ScaleConfig, fc fleet.Config) *experiments.Campaign {
+	b.Helper()
+	c, err := experiments.NewCampaign(context.Background(), seed, sc, fc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
+// mustBenchFleet streams a fleet report under a background context.
+func mustBenchFleet(b *testing.B, seed int64, sc experiments.ScaleConfig, fc fleet.Config) *experiments.FleetReport {
+	b.Helper()
+	rep, err := experiments.RunFleet(context.Background(), seed, sc, fc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
 }
 
 // runExperiment benchmarks one campaign-level experiment and reports the
@@ -84,7 +104,10 @@ func BenchmarkTable3(b *testing.B) { runExperiment(b, experiments.Table3, "devic
 func BenchmarkTable4(b *testing.B) {
 	var r *experiments.Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Table4(77, 0.25)
+		var err error
+		if r, err = experiments.Table4Context(context.Background(), 77, 0.25); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(r.Metrics["after_avg_tp_retrieve"]/r.Metrics["before_avg_tp_retrieve"],
 		"retrieve_tp_gain")
@@ -254,9 +277,9 @@ func BenchmarkAblationDelta(b *testing.B) {
 // BenchmarkCampaignGeneration measures the flow-level fast path end to end.
 func BenchmarkCampaignGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c := experiments.RunCampaign(int64(i), experiments.ScaleConfig{
+		c := mustBenchCampaign(b, int64(i), experiments.ScaleConfig{
 			Campus1: 0.25, Campus2: 0.05, Home1: 0.015, Home2: 0.015,
-		})
+		}, fleet.Config{Shards: 1})
 		total := 0
 		for _, ds := range c.Datasets {
 			total += len(ds.Records)
@@ -316,7 +339,7 @@ func BenchmarkFleetCampaign(b *testing.B) {
 	shards := 2 * runtime.GOMAXPROCS(0)
 	b.Run("materialized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c := experiments.RunShardedCampaign(int64(i), sc, fleet.Config{Shards: shards})
+			c := mustBenchCampaign(b, int64(i), sc, fleet.Config{Shards: shards})
 			if len(c.Datasets) != 4 {
 				b.Fatal("short campaign")
 			}
@@ -325,7 +348,7 @@ func BenchmarkFleetCampaign(b *testing.B) {
 	b.Run("streaming", func(b *testing.B) {
 		var flows float64
 		for i := 0; i < b.N; i++ {
-			rep := experiments.RunFleetCampaign(int64(i), sc, fleet.Config{Shards: shards})
+			rep := mustBenchFleet(b, int64(i), sc, fleet.Config{Shards: shards})
 			flows = 0
 			for _, vp := range rep.VPs {
 				flows += float64(vp.Summary.Flows)
@@ -340,7 +363,7 @@ func BenchmarkFleetCampaign(b *testing.B) {
 	// does not fit the materializing path's memory envelope.
 	b.Run("streaming-10x", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rep := experiments.RunFleetCampaign(int64(i), sc,
+			rep := mustBenchFleet(b, int64(i), sc,
 				fleet.Config{Shards: shards, DevicesScale: 10})
 			if rep.VPs[0].Summary.Flows == 0 {
 				b.Fatal("empty report")

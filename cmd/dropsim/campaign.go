@@ -12,6 +12,7 @@ import (
 	"insidedropbox/internal/campaign"
 	"insidedropbox/internal/cli"
 	"insidedropbox/internal/telemetry"
+	"insidedropbox/internal/traces"
 )
 
 // campaignSpec assembles the checkpointable campaign description from the
@@ -52,7 +53,7 @@ func crashAfterShard() func(shard int) {
 
 // runCheckpointed is the -checkpoint path of the main dropsim command: a
 // single-process campaign run with per-shard checkpoint/resume, fanned
-// out over -jobs shard-range jobs.
+// out over -workers shard-range jobs.
 func runCheckpointed(ctx context.Context, spec campaign.Spec, dir, out string, jobs int, resume bool, manifest string) {
 	res, err := campaign.Run(ctx, campaign.Config{
 		Spec:       spec,
@@ -157,7 +158,7 @@ func campaignPlan(args []string) {
 	devScale := fs.Float64("devices-scale", 1, "population multiplier on top of -scale")
 	profile := fs.String("profile", "", "capability profile overriding the VP's client version: "+
 		strings.Join(insidedropbox.CapabilityNames(), "|"))
-	format := fs.String("format", "csv", "final export format: csv, binary, or binary-flate")
+	format := fs.String("format", traces.DefaultFormat, "final export format: "+strings.Join(traces.Formats(), "|"))
 	fs.Parse(args)
 	if *dir == "" {
 		fmt.Fprintln(os.Stderr, "campaign plan: -dir is required")

@@ -13,8 +13,9 @@
 //	dropsim [-vp campus1|campus2|home1|home2] [-scale F] [-seed N]
 //	        [-shards N] [-workers N] [-devices-scale F]
 //	        [-profile NAME] [-format csv|binary|binary-flate]
-//	        [-serialize-workers N] [-summary] [-o FILE]
+//	        [-summary] [-o FILE]
 //	        [-backend infinite|provisioned|scarce] [-scenario FILE]
+//	        [-checkpoint DIR [-resume]]
 //	        [-manifest FILE] [-pprof ADDR] [-cpuprofile FILE]
 //	        [-memprofile FILE] [-telemetry-interval DUR]
 //
@@ -27,10 +28,12 @@
 // timeline events (outages, rollouts) on the event queue; -backend, when
 // also set, overrides just the preset.
 //
-// -serialize-workers spreads binary/binary-flate block encoding over a
-// worker pool (0 = GOMAXPROCS). Serialization parallelism never changes
-// the output: the stream is byte-identical for every worker count, so
-// the manifest stream hash is stable across -serialize-workers settings.
+// -workers is the one concurrency budget (0 = GOMAXPROCS). On a straight
+// export it sizes both the fleet's shard workers and the binary formats'
+// block-encoding pool; with -checkpoint it sizes the campaign's
+// concurrent shard-range jobs. It never changes the output: the stream is
+// byte-identical for every worker count, so the manifest stream hash is
+// stable across -workers settings.
 //
 // -manifest writes a run manifest (the schema-versioned JSON of
 // insidedropbox.RunManifest) with the FNV-1a hash of the serialized
@@ -75,7 +78,6 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -86,6 +88,7 @@ import (
 	"insidedropbox/internal/backend"
 	"insidedropbox/internal/cli"
 	"insidedropbox/internal/telemetry"
+	"insidedropbox/internal/traces"
 )
 
 func main() {
@@ -99,12 +102,11 @@ func main() {
 	scale := flag.Float64("scale", 0.05, "population scale versus the paper")
 	seed := flag.Int64("seed", 42, "random seed")
 	shards := flag.Int("shards", 1, "deterministic population shards (part of the result)")
-	workers := flag.Int("workers", 0, "concurrent shard workers (0 = GOMAXPROCS; never changes results)")
+	workers := flag.Int("workers", 0, "concurrency budget: shard workers and block encoders, or shard-range jobs with -checkpoint (0 = GOMAXPROCS; never changes output bytes)")
 	devScale := flag.Float64("devices-scale", 1, "population multiplier on top of -scale")
 	profile := flag.String("profile", "", "capability profile overriding the VP's client version: "+
 		strings.Join(insidedropbox.CapabilityNames(), "|"))
-	format := flag.String("format", "csv", "trace format: csv (public-release compatible), binary (columnar, ~3.5x smaller), or binary-flate (compressed archival with seek index)")
-	serWorkers := flag.Int("serialize-workers", 0, "block-encoding workers for binary formats (0 = GOMAXPROCS; never changes output bytes)")
+	format := flag.String("format", traces.DefaultFormat, "trace format: "+strings.Join(traces.Formats(), "|"))
 	backendPreset := flag.String("backend", "", "after the export, replay the stream against the server "+
 		"capacity model under this preset: "+strings.Join(insidedropbox.BackendPresets(), "|"))
 	scenarioPath := flag.String("scenario", "", "declarative scenario spec file; its base section overrides -vp/-scale/-seed/-shards/-devices-scale/-profile")
@@ -113,7 +115,6 @@ func main() {
 	manifest := flag.String("manifest", "", "write a run manifest (stream hash, shard timings, telemetry snapshot) to this file")
 	checkpoint := flag.String("checkpoint", "", "campaign directory for per-shard checkpoint/resume (enables the multi-core campaign runner)")
 	resume := flag.Bool("resume", false, "continue a checkpointed campaign from where it stopped (requires -checkpoint)")
-	jobs := flag.Int("jobs", 0, "concurrent shard-range jobs for -checkpoint runs (0 = GOMAXPROCS; never changes output bytes)")
 	prof := cli.BindProfile(flag.CommandLine)
 	flag.Parse()
 
@@ -138,8 +139,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *format != "csv" && *format != "binary" && *format != "binary-flate" {
-		fmt.Fprintf(os.Stderr, "unknown format %q (valid: csv, binary, binary-flate)\n", *format)
+	if err := traces.CheckFormat(*format); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *backendPreset != "" {
@@ -209,7 +210,7 @@ func main() {
 		ctx, stop := cli.SignalContext()
 		defer stop()
 		spec := campaignSpec(*vp, *scale, *seed, *shards, *devScale, *profile, *format)
-		runCheckpointed(ctx, spec, *checkpoint, *out, *jobs, *resume, *manifest)
+		runCheckpointed(ctx, spec, *checkpoint, *out, *workers, *resume, *manifest)
 		return
 	}
 
@@ -266,7 +267,7 @@ func main() {
 		tee = col.Consume
 	}
 
-	stats, volume, err := streamTraces(ctx, cfg, runSeed, fc, w, *format, *serWorkers, tee)
+	stats, volume, err := streamTraces(ctx, cfg, runSeed, fc, w, *format, tee)
 	if err != nil {
 		cli.Exit(ctx, "writing traces", err)
 	}
@@ -349,32 +350,20 @@ func printSummary(ctx context.Context, cfg insidedropbox.VPConfig, seed int64,
 }
 
 // streamTraces pipes records from the generator shards straight into the
-// chosen trace writer through a WriterSink, without materializing the
-// dataset. The sink latches the first write error and stops the stream; a
-// cancelled context stops it at shard granularity.
+// chosen anonymizing trace writer through a WriterSink, without
+// materializing the dataset. fc.Workers also sizes the writer's
+// block-encoding pool. The sink latches the first write error and stops
+// the stream; a cancelled context stops it at shard granularity.
 func streamTraces(ctx context.Context, cfg insidedropbox.VPConfig, seed int64,
-	fc insidedropbox.FleetConfig, w io.Writer, format string, serWorkers int,
+	fc insidedropbox.FleetConfig, w io.Writer, format string,
 	tee func(*insidedropbox.FlowRecord)) (insidedropbox.FleetStats, float64, error) {
 
-	if serWorkers < 1 {
-		serWorkers = runtime.GOMAXPROCS(0)
+	bw := bufio.NewWriterSize(w, 1<<16)
+	rw, err := traces.NewRecordWriter(bw, format, true, fc.Workers)
+	if err != nil {
+		return insidedropbox.FleetStats{}, 0, err
 	}
-	var bw *bufio.Writer
-	sink := &insidedropbox.WriterSink{}
-	switch format {
-	case "binary":
-		bw = bufio.NewWriterSize(w, 1<<16)
-		if serWorkers > 1 {
-			sink.W = insidedropbox.NewParallelBinaryTraceWriter(bw, serWorkers)
-		} else {
-			sink.W = insidedropbox.NewBinaryTraceWriter(bw)
-		}
-	case "binary-flate":
-		bw = bufio.NewWriterSize(w, 1<<16)
-		sink.W = insidedropbox.NewFlateTraceWriter(bw, serWorkers)
-	default:
-		sink.W = insidedropbox.NewTraceWriter(w)
-	}
+	sink := &insidedropbox.WriterSink{W: rw}
 	var volume float64
 	stats, err := insidedropbox.StreamRecords(ctx, cfg, seed, fc, func(r *insidedropbox.FlowRecord) bool {
 		volume += float64(r.BytesUp + r.BytesDown)
@@ -390,7 +379,7 @@ func streamTraces(ctx context.Context, cfg insidedropbox.VPConfig, seed int64,
 	if err == nil {
 		err = sink.W.Flush()
 	}
-	if bw != nil && err == nil {
+	if err == nil {
 		err = bw.Flush()
 	}
 	return stats, volume, err

@@ -1,14 +1,17 @@
-// Command tstat-analyze reads a flow-record CSV (as produced by dropsim or
-// SaveTraces) and prints the paper's core characterizations: service
-// breakdown, store/retrieve tagging, flow-size and RTT distributions, and
-// user groups — the offline analysis pass of the study.
+// Command tstat-analyze reads a flow-record trace and prints the paper's
+// core characterizations: service breakdown, store/retrieve tagging,
+// flow-size and RTT distributions, and user groups — the offline analysis
+// pass of the study. The trace may be in any export format: CSV (as
+// produced by dropsim or SaveTraces), binary or binary-flate; the file's
+// leading bytes tell them apart.
 //
 // Usage:
 //
-//	tstat-analyze FILE.csv
+//	tstat-analyze FILE
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -22,17 +25,27 @@ import (
 
 func main() {
 	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: tstat-analyze FILE.csv")
+		fmt.Fprintln(os.Stderr, "usage: tstat-analyze FILE (csv, binary or binary-flate trace)")
 		os.Exit(2)
 	}
-	f, err := os.Open(os.Args[1])
-	if err != nil {
+	if err := run(os.Stdout, os.Args[1]); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// run analyses the trace at path and writes the report to out.
+func run(out io.Writer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
 	defer f.Close()
 
-	r := traces.NewReader(f)
+	r, err := traces.NewRecordReader(f)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	var recs []*traces.FlowRecord
 	for {
 		rec, err := r.Read()
@@ -40,12 +53,12 @@ func main() {
 			break
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "parse:", err)
-			os.Exit(1)
+			return fmt.Errorf("%s: parse: %w", path, err)
 		}
 		recs = append(recs, rec)
 	}
-	fmt.Printf("%d flow records\n\n", len(recs))
+	w := bufio.NewWriter(out)
+	fmt.Fprintf(w, "%d flow records\n\n", len(recs))
 
 	// Provider breakdown.
 	provBytes := map[string]float64{}
@@ -59,7 +72,7 @@ func main() {
 	for _, k := range analysis.SortedKeys(provBytes) {
 		tb.AddRow(k, provFlows[k], analysis.HumanBytes(provBytes[k]))
 	}
-	fmt.Println(tb.String())
+	fmt.Fprintln(w, tb.String())
 
 	// Dropbox service breakdown + storage analysis.
 	var storeSizes, retrSizes, rtts []float64
@@ -94,12 +107,12 @@ func main() {
 	for _, k := range analysis.SortedKeys(svcFlows) {
 		tb2.AddRow(k, svcFlows[k])
 	}
-	fmt.Println(tb2.String())
+	fmt.Fprintln(w, tb2.String())
 
-	fmt.Println(analysis.QuantileSummary("store flow bytes", storeSizes))
-	fmt.Println(analysis.QuantileSummary("retrieve flow bytes", retrSizes))
-	fmt.Println(analysis.QuantileSummary("storage min RTT (ms)", rtts))
-	fmt.Println()
+	fmt.Fprintln(w, analysis.QuantileSummary("store flow bytes", storeSizes))
+	fmt.Fprintln(w, analysis.QuantileSummary("retrieve flow bytes", retrSizes))
+	fmt.Fprintln(w, analysis.QuantileSummary("storage min RTT (ms)", rtts))
+	fmt.Fprintln(w)
 
 	// User groups (Table 5 heuristics).
 	groups := map[string]int{}
@@ -110,7 +123,7 @@ func main() {
 	for _, k := range analysis.SortedKeys(groups) {
 		tb3.AddRow(k, groups[k])
 	}
-	fmt.Println(tb3.String())
+	fmt.Fprintln(w, tb3.String())
 
 	// Devices per household.
 	devs := classify.DevicesPerIP(recs)
@@ -119,7 +132,8 @@ func main() {
 		cnt.Add(n)
 	}
 	if cnt.Total() > 0 {
-		fmt.Printf("households with 1 device: %.0f%%; with >1: %.0f%%\n",
+		fmt.Fprintf(w, "households with 1 device: %.0f%%; with >1: %.0f%%\n",
 			100*cnt.Fraction(1), 100*cnt.FractionAtLeast(2))
 	}
+	return w.Flush()
 }

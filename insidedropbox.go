@@ -48,9 +48,7 @@
 //
 // See cmd/experiments for the batch driver and EXPERIMENTS.md for the
 // experiment catalogue and the fleet engine's sharding and determinism
-// contract. The pre-context entry points (RunCampaign, AllExperiments,
-// Table4, PerformanceLab, Testbed, ...) remain available, bit-identical,
-// in deprecated.go.
+// contract.
 package insidedropbox
 
 import (
@@ -102,89 +100,44 @@ type Dataset = workload.Dataset
 // FlowRecord is one monitored TCP flow as exported by the probe.
 type FlowRecord = traces.FlowRecord
 
-// TraceWriter streams flow records as CSV.
-type TraceWriter = traces.Writer
+// RecordWriter is the sink interface every trace serialization
+// implements; format-agnostic exporters write through it.
+type RecordWriter = traces.RecordWriter
 
-// BinaryTraceWriter streams flow records in the block-columnar binary
-// format: ~3.5x smaller than CSV and allocation-free on the write side (the
-// wire format is documented in internal/traces/binary.go).
-type BinaryTraceWriter = traces.BinaryWriter
-
-// BinaryTraceReader parses binary trace streams back into records.
-type BinaryTraceReader = traces.BinaryReader
-
-// ParallelBinaryTraceWriter is the binary trace writer with block
-// encoding spread over a bounded worker pool — byte-identical output to
-// BinaryTraceWriter for every worker count, for exports where
-// serialization rather than generation is the bottleneck.
-type ParallelBinaryTraceWriter = traces.ParallelBinaryWriter
-
-// FlateTraceWriter streams flow records as the compressed archival
-// format: flate-compressed binary blocks with a trailing seek index
-// (internal/traces/flate.go documents the wire format). Flush finalizes
-// the stream.
-type FlateTraceWriter = traces.FlateWriter
+// RecordReader is the streaming source every trace deserialization
+// implements: Read returns records until io.EOF. The inverse of
+// RecordWriter.
+type RecordReader = traces.RecordReader
 
 // FlateTraceReader reads the compressed archival format; over an
 // io.ReadSeeker it can seek straight to a record ordinal through the
-// trailing index (SeekToRecord) and re-stream from there.
+// trailing index (SeekToRecord) and re-stream from there. NewTraceReader
+// returns one for binary-flate input.
 type FlateTraceReader = traces.FlateReader
 
-// RecordWriter is the sink interface both trace serializations implement;
-// format-agnostic exporters write through it.
-type RecordWriter = traces.RecordWriter
-
 // WriterSink adapts a RecordWriter into a fleet sink: the glue between a
-// record stream and either trace serialization. The first write error
+// record stream and any trace serialization. The first write error
 // latches into Err and suppresses further writes.
 type WriterSink = fleet.WriterSink
 
-// NewTraceWriter returns an anonymizing CSV trace writer (the format of
-// the paper's public release), for streaming exports that never hold a
-// full dataset.
-func NewTraceWriter(w io.Writer) *TraceWriter {
-	tw := traces.NewWriter(w)
-	tw.Anonymize = true
-	return tw
+// NewTraceWriter returns an anonymizing trace writer for a named format:
+// "csv" (the format of the paper's public release), "binary" (block-
+// columnar, ~3.5x smaller; internal/traces/binary.go documents the wire
+// format) or "binary-flate" (flate-compressed binary blocks with a
+// trailing seek index; internal/traces/flate.go). The binary formats
+// encode blocks on GOMAXPROCS workers; the output bytes never depend on
+// the worker count. Flush finishes the stream.
+func NewTraceWriter(w io.Writer, format string) (RecordWriter, error) {
+	return traces.NewRecordWriter(w, format, true, 0)
 }
 
-// NewBinaryTraceWriter returns an anonymizing binary trace writer — the
-// performance path for population-scale exports (cmd/dropsim
-// -format=binary).
-func NewBinaryTraceWriter(w io.Writer) *BinaryTraceWriter {
-	tw := traces.NewBinaryWriter(w)
-	tw.Anonymize = true
-	return tw
-}
-
-// NewBinaryTraceReader wraps a binary trace stream for reading.
-func NewBinaryTraceReader(r io.Reader) *BinaryTraceReader {
-	return traces.NewBinaryReader(r)
-}
-
-// NewParallelBinaryTraceWriter returns an anonymizing parallel binary
-// trace writer encoding blocks on workers goroutines (workers < 1 means
-// 1; output is byte-identical to NewBinaryTraceWriter for every count).
-func NewParallelBinaryTraceWriter(w io.Writer, workers int) *ParallelBinaryTraceWriter {
-	tw := traces.NewParallelBinaryWriter(w, workers)
-	tw.Anonymize = true
-	return tw
-}
-
-// NewFlateTraceWriter returns an anonymizing archival trace writer:
-// flate-compressed binary blocks plus a trailing seek index (cmd/dropsim
-// -format=binary-flate). Flush finalizes the stream — archival exports
-// are written once, not appended.
-func NewFlateTraceWriter(w io.Writer, workers int) *FlateTraceWriter {
-	tw := traces.NewFlateWriter(w, workers)
-	tw.Anonymize = true
-	return tw
-}
-
-// NewFlateTraceReader wraps an archival trace stream for reading;
-// pass an io.ReadSeeker (e.g. *os.File) to enable SeekToRecord.
-func NewFlateTraceReader(r io.Reader) *FlateTraceReader {
-	return traces.NewFlateReader(r)
+// NewTraceReader detects the trace format from the stream's leading
+// bytes and returns its reader; input in no known format is an error
+// naming the offset and the bytes expected there. Over an io.ReadSeeker
+// (e.g. *os.File) a binary-flate reader is a *FlateTraceReader with
+// SeekToRecord enabled.
+func NewTraceReader(r io.Reader) (RecordReader, error) {
+	return traces.NewRecordReader(r)
 }
 
 // VPConfig parameterizes a vantage point population.
@@ -360,7 +313,8 @@ func ScenarioCohortPresets() []string { return scenario.Presets() }
 // SaveTraces writes a dataset's flow records as anonymized CSV, the format
 // of the paper's public release.
 func SaveTraces(ds *Dataset, w io.Writer) error {
-	tw := NewTraceWriter(w)
+	tw := traces.NewWriter(w)
+	tw.Anonymize = true
 	for _, r := range ds.Records {
 		if err := tw.Write(r); err != nil {
 			return err

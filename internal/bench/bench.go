@@ -482,7 +482,7 @@ func runExportBinary(ctx context.Context, quick bool) (int64, int64) {
 
 // runExportBinaryParallel is runExportBinary with block encoding spread
 // over GOMAXPROCS workers — the configuration dropsim -format=binary
-// -serialize-workers uses, and the scenario that shows serialization
+// uses at its default -workers, and the scenario that shows serialization
 // keeping up with generation on multi-core machines (the output bytes
 // are identical to export/home1-8shard-binary by the determinism
 // contract).

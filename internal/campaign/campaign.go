@@ -82,8 +82,9 @@ type Spec struct {
 	DevicesScale float64 `json:"devices_scale,omitempty"`
 	// Profile optionally swaps in a capability profile by name.
 	Profile string `json:"profile,omitempty"`
-	// Format is the final export encoding: csv (default), binary, or
-	// binary-flate. Parts are always stored binary regardless.
+	// Format is the final export encoding, one of traces.Formats (empty
+	// means traces.DefaultFormat). Parts are always stored binary
+	// regardless.
 	Format string `json:"format,omitempty"`
 	// Anonymize replaces client addresses with stable opaque tokens in
 	// the final export (parts always keep full fidelity).
@@ -96,7 +97,7 @@ func (s Spec) normalized() Spec {
 		s.DevicesScale = 1
 	}
 	if s.Format == "" {
-		s.Format = "csv"
+		s.Format = traces.DefaultFormat
 	}
 	if s.Shards < 1 {
 		s.Shards = 1
@@ -115,10 +116,8 @@ func (s Spec) validate() error {
 	if s.Shards > workload.MaxShards {
 		return fmt.Errorf("campaign: spec shards %d exceeds the maximum %d", s.Shards, workload.MaxShards)
 	}
-	switch s.Format {
-	case "csv", "binary", "binary-flate":
-	default:
-		return fmt.Errorf("campaign: unknown export format %q (csv, binary, binary-flate)", s.Format)
+	if err := traces.CheckFormat(s.Format); err != nil {
+		return fmt.Errorf("campaign: %w", err)
 	}
 	return nil
 }
@@ -612,16 +611,4 @@ func statePath(dir string, sh int) string {
 
 func jobCheckpointName(job int) string {
 	return fmt.Sprintf("checkpoint-job-%03d.ckpt", job)
-}
-
-// ExportExt maps a spec format to the conventional export extension.
-func ExportExt(format string) string {
-	switch format {
-	case "binary":
-		return ".idb"
-	case "binary-flate":
-		return ".idbf"
-	default:
-		return ".csv"
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"insidedropbox/internal/traces"
 )
@@ -34,7 +33,7 @@ func (r *runner) merge(ctx context.Context) (*Result, error) {
 
 	out := r.cfg.Out
 	if out == "" {
-		out = filepath.Join(r.dir, "export"+ExportExt(r.spec.Format))
+		out = filepath.Join(r.dir, "export"+traces.Ext(r.spec.Format))
 	}
 
 	res := &Result{
@@ -47,7 +46,9 @@ func (r *runner) merge(ctx context.Context) (*Result, error) {
 	err := writeFileAtomicFunc(out, func(f *os.File) error {
 		cw := &countWriter{w: io.MultiWriter(f, streamHash), n: &res.ExportBytes}
 		bw := bufio.NewWriterSize(cw, 1<<16)
-		w, err := exportWriter(bw, r.spec)
+		// Workers 0 encodes blocks on GOMAXPROCS workers; the bytes are
+		// those of a straight dropsim export whatever the count.
+		w, err := traces.NewRecordWriter(bw, r.spec.Format, r.spec.Anonymize, 0)
 		if err != nil {
 			return err
 		}
@@ -127,28 +128,6 @@ func (r *runner) streamPart(e ShardDone, w traces.RecordWriter) (int, error) {
 		return n, fmt.Errorf("campaign: shard %d part holds %d records, checkpoint recorded %d", e.Shard, n, e.Records)
 	}
 	return n, nil
-}
-
-// exportWriter builds the final-format writer exactly as cmd/dropsim
-// does for straight-through exports, so a merged campaign export is
-// byte-identical to an uninterrupted single-process run.
-func exportWriter(w io.Writer, spec Spec) (traces.RecordWriter, error) {
-	switch spec.Format {
-	case "csv":
-		cw := traces.NewWriter(w)
-		cw.Anonymize = spec.Anonymize
-		return cw, nil
-	case "binary":
-		bw := traces.NewBinaryWriter(w)
-		bw.Anonymize = spec.Anonymize
-		return bw, nil
-	case "binary-flate":
-		fw := traces.NewFlateWriter(w, runtime.GOMAXPROCS(0))
-		fw.Anonymize = spec.Anonymize
-		return fw, nil
-	default:
-		return nil, fmt.Errorf("campaign: unknown export format %q", spec.Format)
-	}
 }
 
 // Merge finalizes a campaign directory whose shards were generated by

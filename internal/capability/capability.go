@@ -15,7 +15,7 @@
 //
 // Two presets — DropboxV1252 and DropboxV140 — reproduce the historical
 // Version-based behaviour bit for bit (pinned by regression tests); the
-// remaining presets are the hypothetical laboratory. experiments.RunWhatIf
+// remaining presets are the hypothetical laboratory. experiments.WhatIfConfig
 // runs the same fleet population under several profiles and tabulates the
 // deltas versus a baseline.
 //

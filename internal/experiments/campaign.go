@@ -7,15 +7,16 @@
 //
 // Three campaign engines coexist:
 //
-//   - RunCampaign / RunShardedCampaign materialize the four vantage-point
-//     datasets (through the sharded fleet engine; 1 shard per VP
-//     reproduces the historical sequential generator bit for bit);
-//   - RunFleetCampaign streams populations too large to materialize into
+//   - NewCampaign materializes the four vantage-point datasets (through
+//     the sharded fleet engine; 1 shard per VP reproduces the historical
+//     sequential generator bit for bit);
+//   - RunFleet streams populations too large to materialize into
 //     bounded-memory fleet.Summary aggregates;
-//   - RunWhatIf replays one population under several client capability
-//     profiles (internal/capability) and tabulates storage volume, flow,
-//     operation and sync-latency deltas against a baseline profile — the
-//     generalization of the paper's Sec. 6 bundling analysis.
+//   - WhatIfConfig.Run replays one population under several client
+//     capability profiles (internal/capability) and tabulates storage
+//     volume, flow, operation and sync-latency deltas against a baseline
+//     profile — the generalization of the paper's Sec. 6 bundling
+//     analysis.
 //
 // See EXPERIMENTS.md at the repository root for the full catalogue, the
 // determinism contract, and how each driver maps to the paper.
@@ -146,22 +147,6 @@ func NewCampaign(ctx context.Context, seed int64, sc ScaleConfig, fc fleet.Confi
 	return &Campaign{Seed: seed, Datasets: datasets}, nil
 }
 
-// RunCampaign generates all four vantage points.
-//
-// Deprecated: RunCampaign is the pre-context entry point, kept bit-
-// identical. Use NewCampaign (cancellable, error-returning).
-func RunCampaign(seed int64, sc ScaleConfig) *Campaign {
-	return RunShardedCampaign(seed, sc, fleet.Config{Shards: 1})
-}
-
-// RunShardedCampaign materializes a campaign through the fleet engine.
-//
-// Deprecated: use NewCampaign.
-func RunShardedCampaign(seed int64, sc ScaleConfig, fc fleet.Config) *Campaign {
-	c, _ := NewCampaign(context.Background(), seed, sc, fc)
-	return c
-}
-
 // ---------- shared helpers ----------
 
 // dropboxRecords filters a dataset to Dropbox flows.
@@ -240,34 +225,6 @@ func sortedIPs[V any](m map[wire.IP]V) []wire.IP {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
-}
-
-// All runs every campaign-level experiment (packet-level labs excluded;
-// see RunPacketLabs) and returns results in paper order.
-func All(c *Campaign) []*Result {
-	return []*Result{
-		Table1(),
-		Table2(c),
-		Table3(c),
-		Table5(c),
-		Figure2(c),
-		Figure3(c),
-		Figure4(c),
-		Figure5(c),
-		Figure6(c),
-		Figure7(c),
-		Figure8(c),
-		Figure11(c),
-		Figure12(c),
-		Figure13(c),
-		Figure14(c),
-		Figure15(c),
-		Figure16(c),
-		Figure17(c),
-		Figure18(c),
-		Figure20(c),
-		Figure21(c),
-	}
 }
 
 // suppress unused warnings for helpers exercised across files.

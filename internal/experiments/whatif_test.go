@@ -11,6 +11,16 @@ import (
 	"insidedropbox/internal/workload"
 )
 
+// mustWhatIf runs a what-if campaign under a background context.
+func mustWhatIf(t *testing.T, cfg WhatIfConfig) *WhatIfReport {
+	t.Helper()
+	rep, err := cfg.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // whatIfVP is a fast test population: Campus 1 trimmed to a week.
 func whatIfVP(scale float64) workload.VPConfig {
 	cfg := workload.Campus1(scale)
@@ -31,7 +41,7 @@ func TestWhatIfPresetMatchesLegacyFleetRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := RunWhatIf(WhatIfConfig{
+	rep := mustWhatIf(t, WhatIfConfig{
 		Seed: 2012, VP: vp, Fleet: fc,
 		Profiles: []capability.Profile{capability.DropboxV1252()},
 	})
@@ -55,7 +65,7 @@ func TestWhatIfWorkerInvariance(t *testing.T) {
 	vp := whatIfVP(0.15)
 	profiles := []capability.Profile{capability.DropboxV140(), capability.NoDedup()}
 	run := func(workers int) *Result {
-		return RunWhatIf(WhatIfConfig{
+		return mustWhatIf(t, WhatIfConfig{
 			Seed: 5, VP: vp,
 			Fleet:    fleet.Config{Shards: 4, Workers: workers},
 			Profiles: profiles,
@@ -84,8 +94,8 @@ func TestWhatIfTableGolden(t *testing.T) {
 			capability.FullPipeline(),
 		},
 	}
-	res := RunWhatIf(cfg).Result()
-	again := RunWhatIf(cfg).Result()
+	res := mustWhatIf(t, cfg).Result()
+	again := mustWhatIf(t, cfg).Result()
 	if res.Text != again.Text {
 		t.Fatal("what-if table not reproducible across runs")
 	}

@@ -141,14 +141,19 @@ func TestStreamRecordsEarlyStop(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestRecordsIteratorMatchesStreamOrdered pins the iterator against the
-// legacy callback path: same records, same canonical order, nil errors.
-func TestRecordsIteratorMatchesStreamOrdered(t *testing.T) {
+// TestRecordsIteratorMatchesStreamRecords pins the iterator against the
+// callback path: same records, same canonical order, nil errors.
+func TestRecordsIteratorMatchesStreamRecords(t *testing.T) {
 	cfg := workload.Campus2(0.04)
 	fc := Config{Shards: 4, Workers: 2}
 
 	var legacy []*traces.FlowRecord
-	StreamOrdered(cfg, 3, fc, func(r *traces.FlowRecord) { legacy = append(legacy, r) })
+	if _, err := StreamRecords(context.Background(), cfg, 3, fc, func(r *traces.FlowRecord) bool {
+		legacy = append(legacy, r)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	var got []*traces.FlowRecord
 	for r, err := range Records(context.Background(), cfg, 3, fc) {

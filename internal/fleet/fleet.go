@@ -18,7 +18,7 @@
 //   - a 1-shard run reproduces the legacy sequential workload.Generate
 //     output exactly.
 //
-// On the streaming path (Aggregate, StreamOrdered) memory stays bounded
+// On the streaming path (Aggregate, StreamRecords) memory stays bounded
 // regardless of population size: records are consumed as they are
 // generated and never accumulated.
 //

@@ -96,16 +96,20 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestStreamOrderedMatchesDataset checks the bounded-buffer streaming path
-// delivers exactly the Dataset record set, in canonical shard order.
-func TestStreamOrderedMatchesDataset(t *testing.T) {
+// TestStreamRecordsMatchesDataset checks the bounded-buffer streaming
+// path delivers exactly the Dataset record set, in canonical shard order.
+func TestStreamRecordsMatchesDataset(t *testing.T) {
 	cfg := workload.Campus2(0.05)
 	fc := Config{Shards: 5, Workers: 3}
 
 	var streamed []*traces.FlowRecord
-	stats := StreamOrdered(cfg, 3, fc, func(r *traces.FlowRecord) {
+	stats, err := StreamRecords(context.Background(), cfg, 3, fc, func(r *traces.FlowRecord) bool {
 		streamed = append(streamed, r)
+		return true
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if stats.Records != len(streamed) {
 		t.Fatalf("stats records %d != streamed %d", stats.Records, len(streamed))
 	}

@@ -192,16 +192,3 @@ func Records(ctx context.Context, vp workload.VPConfig, seed int64, fc Config) i
 		}
 	}
 }
-
-// StreamOrdered delivers every record to emit in canonical shard order.
-//
-// Deprecated: StreamOrdered is the pre-context callback shape, kept for
-// bit-identical compatibility. Use StreamRecords (cancellable, stoppable)
-// or the Records iterator.
-func StreamOrdered(vp workload.VPConfig, seed int64, fc Config, emit func(*traces.FlowRecord)) VPStats {
-	stats, _ := StreamRecords(context.Background(), vp, seed, fc, func(r *traces.FlowRecord) bool {
-		emit(r)
-		return true
-	})
-	return stats
-}

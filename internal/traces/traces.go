@@ -1,11 +1,16 @@
 // Package traces defines the flow-record schema the probe exports and its
-// two serializations: the anonymized CSV format mirroring the public
-// release of the paper's measurements (traces.simpleweb.org/dropbox) — one
-// row per TCP flow with byte/packet/PSH counters, RTT estimates and DPI
-// labels, and client addresses anonymized — and a block-columnar binary
-// format (BinaryWriter/BinaryReader, see binary.go for the wire format)
-// that is ~3.5x smaller and allocation-free on the write side, for
-// population-scale trace exports.
+// serializations: the anonymized CSV format mirroring the public release
+// of the paper's measurements (traces.simpleweb.org/dropbox) — one row per
+// TCP flow with byte/packet/PSH counters, RTT estimates and DPI labels,
+// and client addresses anonymized — a block-columnar binary format
+// (BinaryWriter/BinaryReader, see binary.go for the wire format) that is
+// ~3.5x smaller and allocation-free on the write side, for
+// population-scale trace exports, and its flate-compressed archival tier
+// with a seek index (flate.go).
+//
+// format.go is the one place that knows the format list: NewRecordWriter
+// builds any format's writer by name, and NewRecordReader detects a
+// stream's format from its leading bytes.
 //
 // Writers never retain the records passed to Write: both formats copy what
 // they need before returning, so callers may recycle records (the fleet
@@ -323,8 +328,9 @@ func (w *Writer) Flush() error {
 	return w.err
 }
 
-// Reader parses flow-record CSV back into records. Anonymized client
-// columns parse to 0.0.0.0 with the token preserved in ClientToken.
+// Reader parses flow-record CSV back into records. An anonymized client
+// column (the "h" + 12-hex-digit token) reads back as address 0: the
+// token itself is not carried into the record.
 type Reader struct {
 	cr     *csv.Reader
 	header bool

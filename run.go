@@ -652,8 +652,8 @@ func StreamRecords(ctx context.Context, cfg VPConfig, seed int64, fc FleetConfig
 	return fleet.StreamRecords(ctx, cfg, seed, fc, emit)
 }
 
-// WriteRecordStream drains a record iterator into a RecordWriter (CSV or
-// binary) and flushes it: the three-line export path.
+// WriteRecordStream drains a record iterator into a RecordWriter (any
+// trace format) and flushes it: the three-line export path.
 func WriteRecordStream(w RecordWriter, seq iter.Seq2[*FlowRecord, error]) error {
 	for r, err := range seq {
 		if err != nil {
@@ -666,13 +666,6 @@ func WriteRecordStream(w RecordWriter, seq iter.Seq2[*FlowRecord, error]) error 
 	return w.Flush()
 }
 
-// RecordReader is the streaming source every trace deserialization
-// implements (BinaryTraceReader, FlateTraceReader): Read returns records
-// until io.EOF. The inverse of RecordWriter.
-type RecordReader interface {
-	Read() (*FlowRecord, error)
-}
-
 // ReadRecords adapts a RecordReader into the same iterator shape Records
 // produces, so an archived trace file re-streams through exactly the
 // code paths a live generation run feeds — analysis, aggregation, or
@@ -680,8 +673,9 @@ type RecordReader interface {
 // surfaces as the final (nil, err) pair:
 //
 //	f, _ := os.Open("campaign.idbf")
-//	seq := insidedropbox.ReadRecords(insidedropbox.NewFlateTraceReader(f))
-//	for r, err := range seq { ... }
+//	r, err := insidedropbox.NewTraceReader(f)
+//	if err != nil { ... }
+//	for rec, err := range insidedropbox.ReadRecords(r) { ... }
 //
 // Seek the reader first (FlateTraceReader.SeekToRecord) to re-stream
 // just a shard or record range of an archival file.

@@ -3,59 +3,100 @@ package insidedropbox
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
+
+	"insidedropbox/internal/analysis"
 )
 
 // goldenScale is the small population used by the equivalence tests.
 var goldenScale = ScaleConfig{Campus1: 0.15, Campus2: 0.03, Home1: 0.01, Home2: 0.01}
 
-// TestRunMatchesLegacyFacade is the redesign's golden acceptance test:
-// Run with a full-catalogue selection must reproduce the exact bytes of
-// the deprecated entry points — AllExperiments + Table4 + PerformanceLab
-// + Testbed — result for result.
-func TestRunMatchesLegacyFacade(t *testing.T) {
+// runGolden holds each result digest (see resultDigest) of the default
+// catalogue run Spec{Seed: 9, Scale: goldenScale, Quick: true}, recorded
+// while that run still reproduced, result for result, the bytes of the
+// pre-context entry points it replaced (the whole-campaign table and
+// figure drivers, the Table 4 campaigns, the packet labs and the
+// testbed).
+var runGolden = []struct {
+	id     string
+	digest uint64
+}{
+	{"table1", 0xb1de1865ce791fa1},
+	{"table2", 0x8f124cffef824b5f},
+	{"table3", 0xc155ed7eefb46ace},
+	{"table4", 0xc0f5b0d61ce6b088},
+	{"table5", 0xd6c2012001040825},
+	{"figure1", 0x642c903cf1169640},
+	{"figure2", 0x30006b47f40f7826},
+	{"figure3", 0x6182c3051f809214},
+	{"figure4", 0x0073fb4f96c5796f},
+	{"figure5", 0xe6964015d7db3146},
+	{"figure6", 0x23d19c0b35bd9f5d},
+	{"figure7", 0xa05a72e94dc79f18},
+	{"figure8", 0x2ee232758fe39d22},
+	{"figure9", 0xb0691d07846da3b3},
+	{"figure10", 0xb76f6840e7b3ea13},
+	{"figure11", 0xa92d22122d093603},
+	{"figure12", 0x8cc75ca61c024639},
+	{"figure13", 0xe82bcf02e418a50f},
+	{"figure14", 0xe9d7637fa283f652},
+	{"figure15", 0x7b3cf154c8d16a32},
+	{"figure16", 0xfc51c71415939b9e},
+	{"figure17", 0xe9e896603dfb7fbf},
+	{"figure18", 0xa14d8eb5eba7bb7c},
+	{"figure19", 0xbd4e05525626b75f},
+	{"figure20", 0x6702a7a5cf5961a9},
+	{"figure21", 0x46c4f6e4ac1768f0},
+}
+
+// resultDigest is the FNV-1a hash of a result's ID, title, rendered text
+// and metrics (sorted by name, values as their IEEE-754 bits), with a
+// zero byte after every string.
+func resultDigest(r *Result) uint64 {
+	h := fnv.New64a()
+	for _, s := range []string{r.ID, r.Title, r.Text} {
+		h.Write([]byte(s))
+		h.Write([]byte{0})
+	}
+	var b [8]byte
+	for _, k := range analysis.SortedKeys(r.Metrics) {
+		h.Write([]byte(k))
+		h.Write([]byte{0})
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(r.Metrics[k]))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestRunGolden is the catalogue's golden acceptance test: Run with the
+// default selection must reproduce every recorded result digest, in
+// catalogue order.
+func TestRunGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the packet labs")
 	}
-	const seed = 9
-	spec := Spec{Seed: seed, Scale: goldenScale, Quick: true}
-	results, err := Run(context.Background(), spec)
+	results, err := Run(context.Background(), Spec{Seed: 9, Scale: goldenScale, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	legacy := map[string]*Result{}
-	for _, r := range AllExperiments(RunCampaign(seed, goldenScale)) {
-		legacy[r.ID] = r
+	if len(results) != len(runGolden) {
+		t.Fatalf("Run produced %d results, golden table has %d", len(results), len(runGolden))
 	}
-	legacy["table4"] = Table4(seed, goldenScale.Campus1)
-	fig9, fig10 := PerformanceLab(true)
-	legacy["figure9"], legacy["figure10"] = fig9, fig10
-	fig1, fig19 := Testbed(seed)
-	legacy["figure1"], legacy["figure19"] = fig1, fig19
-
-	if len(results) != len(legacy) {
-		t.Fatalf("Run produced %d results, legacy surface %d", len(results), len(legacy))
-	}
-	for _, got := range results {
-		want := legacy[got.ID]
-		if want == nil {
-			t.Errorf("%s: not produced by the legacy surface", got.ID)
+	for i, got := range results {
+		want := runGolden[i]
+		if got.ID != want.id {
+			t.Errorf("result %d is %s, golden table has %s", i, got.ID, want.id)
 			continue
 		}
-		if got.Text != want.Text {
-			t.Errorf("%s: rendered text diverged from the legacy entry point", got.ID)
-		}
-		if got.Title != want.Title {
-			t.Errorf("%s: title %q != legacy %q", got.ID, got.Title, want.Title)
-		}
-		if !reflect.DeepEqual(got.Metrics, want.Metrics) {
-			t.Errorf("%s: metrics diverged from the legacy entry point", got.ID)
+		if d := resultDigest(got); d != want.digest {
+			t.Errorf("%s: digest %#016x, golden %#016x", got.ID, d, want.digest)
 		}
 		// The registry's catalogue label must not drift from the title the
 		// driver renders (they are maintained in two places).
@@ -225,43 +266,43 @@ func TestRunCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestRecordsIteratorMatchesStreamDataset pins the facade iterator
-// against the deprecated callback export: same records, same order, and a
-// clean round trip through WriteRecordStream.
-func TestRecordsIteratorMatchesStreamDataset(t *testing.T) {
+// TestRecordsIteratorMatchesStreamRecords pins the facade iterator
+// against the callback export: same records, same order, and a clean
+// round trip through WriteRecordStream.
+func TestRecordsIteratorMatchesStreamRecords(t *testing.T) {
 	cfg := Campus1(0.1)
 	fc := FleetConfig{Shards: 2}
 
-	var legacyBuf bytes.Buffer
-	tw := NewTraceWriter(&legacyBuf)
-	legacyStats := StreamDataset(cfg, 3, fc, func(r *FlowRecord) {
-		if err := tw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if err := tw.Flush(); err != nil {
+	var cbBuf bytes.Buffer
+	tw, err := NewTraceWriter(&cbBuf, "csv")
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	var iterBuf bytes.Buffer
-	if err := WriteRecordStream(NewTraceWriter(&iterBuf),
-		Records(context.Background(), cfg, 3, fc)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacyBuf.Bytes(), iterBuf.Bytes()) {
-		t.Fatal("iterator export diverged from the deprecated StreamDataset export")
-	}
-
 	n := 0
-	stats, err := StreamRecords(context.Background(), cfg, 3, fc, func(*FlowRecord) bool {
+	stats, err := StreamRecords(context.Background(), cfg, 3, fc, func(r *FlowRecord) bool {
 		n++
-		return true
+		return tw.Write(r) == nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != legacyStats.Records || stats.Records != legacyStats.Records {
-		t.Fatalf("StreamRecords delivered %d records, legacy %d", n, legacyStats.Records)
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n != stats.Records {
+		t.Fatalf("StreamRecords delivered %d records, stats say %d", n, stats.Records)
+	}
+
+	var iterBuf bytes.Buffer
+	iw, err := NewTraceWriter(&iterBuf, "csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteRecordStream(iw, Records(context.Background(), cfg, 3, fc)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cbBuf.Bytes(), iterBuf.Bytes()) {
+		t.Fatal("iterator export diverged from the StreamRecords export")
 	}
 }
 
