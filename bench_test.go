@@ -105,7 +105,7 @@ func BenchmarkTable4(b *testing.B) {
 	var r *experiments.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		if r, err = experiments.Table4Context(context.Background(), 77, 0.25); err != nil {
+		if r, err = experiments.Table4(context.Background(), 77, 0.25); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -422,7 +422,8 @@ func BenchmarkTraceWriteBinary(b *testing.B) {
 
 // BenchmarkGeneratePooled measures one pooled shard generation — the
 // allocation profile the fleet aggregation path runs at (allocs/op divided
-// by the record count is the allocs-per-record figure cmd/bench tracks).
+// by the record count is the allocs-per-record figure
+// TestAllocsPerRecordCeilings gates).
 func BenchmarkGeneratePooled(b *testing.B) {
 	cfg := workload.Home1(0.05)
 	b.ReportAllocs()
@@ -440,7 +441,7 @@ func BenchmarkGeneratePooled(b *testing.B) {
 }
 
 // BenchmarkFleetSummarizePooled measures the full 8-shard streaming
-// aggregation — the cmd/bench fleet/home1-8shard scenario as a Go
+// aggregation — the fleet/home1-8shard allocation scenario as a Go
 // benchmark.
 func BenchmarkFleetSummarizePooled(b *testing.B) {
 	cfg := workload.Home1(0.05)

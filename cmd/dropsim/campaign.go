@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"insidedropbox"
 	"insidedropbox/internal/campaign"
@@ -42,10 +43,12 @@ func crashAfterShard() func(shard int) {
 	if err != nil || n < 1 {
 		return nil
 	}
-	done := 0
+	// AfterShard runs on the campaign's job goroutines, concurrently
+	// under -workers N > 1.
+	var done atomic.Int64
 	return func(shard int) {
-		if done++; done >= n {
-			fmt.Fprintf(os.Stderr, "crash injection: killing after %d shards\n", done)
+		if d := done.Add(1); d >= int64(n) {
+			fmt.Fprintf(os.Stderr, "crash injection: killing after %d shards\n", d)
 			os.Exit(137)
 		}
 	}

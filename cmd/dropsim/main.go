@@ -214,15 +214,17 @@ func main() {
 		return
 	}
 
+	// The success paths close outFile and check the error; error paths
+	// leave through os.Exit, which runs no deferred calls.
 	var w io.Writer = os.Stdout
+	var outFile *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
+		outFile, err = os.Create(*out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		w = f
+		w = outFile
 	}
 
 	// The manifest recorder hashes the exact serialized bytes (tee'd off
@@ -254,6 +256,11 @@ func main() {
 
 	if *summary {
 		printSummary(ctx, cfg, runSeed, fc, w)
+		if outFile != nil {
+			if err := outFile.Close(); err != nil {
+				cli.Exit(ctx, "writing summary", err)
+			}
+		}
 		return
 	}
 
@@ -268,6 +275,9 @@ func main() {
 	}
 
 	stats, volume, err := streamTraces(ctx, cfg, runSeed, fc, w, *format, tee)
+	if err == nil && outFile != nil {
+		err = outFile.Close()
+	}
 	if err != nil {
 		cli.Exit(ctx, "writing traces", err)
 	}

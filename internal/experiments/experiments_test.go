@@ -312,7 +312,7 @@ func TestFigure21Proportions(t *testing.T) {
 }
 
 func TestTable4Bundling(t *testing.T) {
-	r, err := Table4Context(context.Background(), 77, 0.4)
+	r, err := Table4(context.Background(), 77, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}

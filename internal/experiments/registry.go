@@ -266,7 +266,7 @@ func init() {
 	register(Experiment{
 		ID: "table4", Title: "Table 4: Campus 1 before and after the bundling deployment",
 		Run: func(ctx context.Context, s *Session) (*Result, error) {
-			return Table4Context(ctx, s.Seed, s.campus1Scale())
+			return Table4(ctx, s.Seed, s.campus1Scale())
 		},
 	})
 	regCampaign("table5", "Table 5: User groups in Home 1 and Home 2", Table5)

@@ -93,11 +93,11 @@ func Table3(c *Campaign) *Result {
 	return res
 }
 
-// Table4Context compares Campus 1 before (Mar/Apr, client 1.2.52, server
+// Table4 compares Campus 1 before (Mar/Apr, client 1.2.52, server
 // IW 2) and after (Jun/Jul, client 1.4.0, bundling + tuned IW) — the
 // paper's quantification of the bundling deployment. Cancelling ctx aborts
 // both campaigns at fleet-shard granularity.
-func Table4Context(ctx context.Context, seed int64, scale float64) (*Result, error) {
+func Table4(ctx context.Context, seed int64, scale float64) (*Result, error) {
 	res := newResult("table4", "Table 4: Campus 1 before and after the bundling deployment")
 	// Both campaigns route through the fleet engine with one shard, so the
 	// records match the historical sequential generator while the two

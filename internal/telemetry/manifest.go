@@ -74,7 +74,7 @@ type Manifest struct {
 	Seed int64 `json:"seed"`
 	// Spec flattens the run's configuration (scale, shards, selection,
 	// profiles, ...) as ordered-irrelevant key/value strings.
-	Spec map[string]string `json:"spec,omitempty"`
+	Spec map[string]string `json:"spec,omitzero"`
 
 	// StreamHash is the FNV-1a hash of the serialized record stream, when
 	// the run produced one (trace exports set it; analysis-only runs leave
@@ -170,12 +170,21 @@ func LoadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := parseManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return m, nil
+}
+
+// parseManifest decodes and validates the bytes of a manifest.json.
+func parseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("telemetry: parsing %s: %w", path, err)
+		return nil, fmt.Errorf("telemetry: parsing manifest: %w", err)
 	}
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	return &m, nil
 }

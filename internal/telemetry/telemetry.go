@@ -221,12 +221,14 @@ type TimingStats struct {
 }
 
 // Snap is a point-in-time copy of every registered metric. Map iteration
-// order is undefined as usual; renderers sort keys.
+// order is undefined as usual; renderers sort keys. The optional maps
+// are omitzero, not omitempty: an empty map is written as {} and reads
+// back empty, so a decoded manifest re-encodes to the same value.
 type Snap struct {
 	Counters map[string]uint64      `json:"counters"`
-	Gauges   map[string]int64       `json:"gauges,omitempty"`
-	Timings  map[string]TimingStats `json:"timings,omitempty"`
-	Info     map[string]string      `json:"info,omitempty"`
+	Gauges   map[string]int64       `json:"gauges,omitzero"`
+	Timings  map[string]TimingStats `json:"timings,omitzero"`
+	Info     map[string]string      `json:"info,omitzero"`
 }
 
 // Snapshot copies every registered metric. Values are loaded atomically

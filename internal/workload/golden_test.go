@@ -124,7 +124,8 @@ func TestRecordStreamGoldenCodecs(t *testing.T) {
 	// re-serialization of the decoded records reproduces the golden hash.
 	fr := traces.NewFlateReader(bytes.NewReader(flate1.Bytes()))
 	h := fnv.New64a()
-	cw := traces.NewWriter(h)
+	var csv bytes.Buffer
+	cw := traces.NewWriter(io.MultiWriter(h, &csv))
 	for {
 		rec, err := fr.Read()
 		if err == io.EOF {
@@ -143,5 +144,14 @@ func TestRecordStreamGoldenCodecs(t *testing.T) {
 	const want = 0x1887b88d5f86bad5 // home1-4shard golden hash above
 	if got := h.Sum64(); got != want {
 		t.Fatalf("flate round-trip CSV hash = %#x, want %#x", got, want)
+	}
+
+	// The size claims of the formats on generated traffic: binary at
+	// least 3x smaller than CSV, and flate smaller again.
+	if ratio := float64(csv.Len()) / float64(seq.Len()); ratio < 3 {
+		t.Fatalf("binary stream only %.2fx smaller than CSV, want >= 3x", ratio)
+	}
+	if flate1.Len() >= seq.Len() {
+		t.Fatalf("flate stream %d bytes not smaller than raw binary %d", flate1.Len(), seq.Len())
 	}
 }
