@@ -34,7 +34,9 @@ func main() {
 	}
 }
 
-// run analyses the trace at path and writes the report to out.
+// run analyses the trace at path and writes the report to out. Each
+// record is folded into the report as it is read; only the quantile
+// samples grow with the trace.
 func run(out io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -46,7 +48,19 @@ func run(out io.Writer, path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	var recs []*traces.FlowRecord
+	var (
+		records                     int
+		provBytes                   = map[string]float64{}
+		provFlows                   = map[string]int{}
+		svcFlows                    = map[string]int{}
+		storeSizes, retrSizes, rtts []float64
+		store                       = map[wire.IP]int64{}
+		retr                        = map[wire.IP]int64{}
+		clients                     = map[wire.IP]bool{}
+		// Notify hosts behind each address: classify.DevicesPerIP,
+		// folded per record.
+		devices = map[wire.IP]map[uint64]struct{}{}
+	)
 	for {
 		rec, err := r.Read()
 		if err == io.EOF {
@@ -55,33 +69,22 @@ func run(out io.Writer, path string) error {
 		if err != nil {
 			return fmt.Errorf("%s: parse: %w", path, err)
 		}
-		recs = append(recs, rec)
-	}
-	w := bufio.NewWriter(out)
-	fmt.Fprintf(w, "%d flow records\n\n", len(recs))
+		records++
 
-	// Provider breakdown.
-	provBytes := map[string]float64{}
-	provFlows := map[string]int{}
-	for _, rec := range recs {
-		p := classify.ProviderOf(rec).String()
-		provBytes[p] += float64(rec.BytesUp + rec.BytesDown)
-		provFlows[p]++
-	}
-	tb := analysis.NewTable("Traffic by provider", "provider", "flows", "volume")
-	for _, k := range analysis.SortedKeys(provBytes) {
-		tb.AddRow(k, provFlows[k], analysis.HumanBytes(provBytes[k]))
-	}
-	fmt.Fprintln(w, tb.String())
+		// Provider breakdown.
+		prov := classify.ProviderOf(rec)
+		provBytes[prov.String()] += float64(rec.BytesUp + rec.BytesDown)
+		provFlows[prov.String()]++
 
-	// Dropbox service breakdown + storage analysis.
-	var storeSizes, retrSizes, rtts []float64
-	svcFlows := map[string]int{}
-	store := map[wire.IP]int64{}
-	retr := map[wire.IP]int64{}
-	clients := map[wire.IP]bool{}
-	for _, rec := range recs {
-		if classify.ProviderOf(rec) != classify.ProvDropbox {
+		if rec.NotifyHost != 0 {
+			if devices[rec.Client] == nil {
+				devices[rec.Client] = map[uint64]struct{}{}
+			}
+			devices[rec.Client][rec.NotifyHost] = struct{}{}
+		}
+
+		// Dropbox service breakdown + storage analysis.
+		if prov != classify.ProvDropbox {
 			continue
 		}
 		svc := classify.DropboxService(rec)
@@ -103,6 +106,15 @@ func run(out io.Writer, path string) error {
 			}
 		}
 	}
+
+	w := bufio.NewWriter(out)
+	fmt.Fprintf(w, "%d flow records\n\n", records)
+	tb := analysis.NewTable("Traffic by provider", "provider", "flows", "volume")
+	for _, k := range analysis.SortedKeys(provBytes) {
+		tb.AddRow(k, provFlows[k], analysis.HumanBytes(provBytes[k]))
+	}
+	fmt.Fprintln(w, tb.String())
+
 	tb2 := analysis.NewTable("Dropbox flows by service", "service", "flows")
 	for _, k := range analysis.SortedKeys(svcFlows) {
 		tb2.AddRow(k, svcFlows[k])
@@ -126,10 +138,9 @@ func run(out io.Writer, path string) error {
 	fmt.Fprintln(w, tb3.String())
 
 	// Devices per household.
-	devs := classify.DevicesPerIP(recs)
 	cnt := analysis.NewCounter()
-	for _, n := range devs {
-		cnt.Add(n)
+	for _, hosts := range devices {
+		cnt.Add(len(hosts))
 	}
 	if cnt.Total() > 0 {
 		fmt.Fprintf(w, "households with 1 device: %.0f%%; with >1: %.0f%%\n",

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,14 +37,14 @@ func TestAggregateCancelMidCampaign(t *testing.T) {
 
 	cfg := workload.Home1(0.03)
 	fc := Config{Shards: 8, Workers: 2}
-	var seen int
+	var seen atomic.Int64
 	_, _, err := Aggregate(ctx, cfg, 1, fc, func(int) Aggregator {
 		return &cancelingAgg{after: 100, cancel: cancel, seen: &seen}
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Aggregate after mid-run cancel: err = %v, want context.Canceled", err)
 	}
-	if seen == 0 {
+	if seen.Load() == 0 {
 		t.Fatal("cancel fired before any record was consumed")
 	}
 	waitGoroutines(t, base)
@@ -52,13 +53,13 @@ func TestAggregateCancelMidCampaign(t *testing.T) {
 type cancelingAgg struct {
 	after  int
 	cancel context.CancelFunc
-	seen   *int
+	seen   *atomic.Int64 // shared by every shard's aggregator
 	n      int
 }
 
 func (a *cancelingAgg) Consume(*traces.FlowRecord) {
 	a.n++
-	*a.seen++
+	a.seen.Add(1)
 	if a.n == a.after {
 		a.cancel()
 	}

@@ -30,7 +30,7 @@ type format struct {
 }
 
 // csvHeaderLine is the header row every CSV trace opens with.
-var csvHeaderLine = []byte(strings.Join(csvHeader, ",") + "\n")
+var csvHeaderLine = []byte(strings.Join(csvHeader[:], ",") + "\n")
 
 // formats is the one list of trace serializations, in help order.
 var formats = []format{

@@ -19,11 +19,8 @@ package traces
 
 import (
 	"bufio"
-	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -76,7 +73,7 @@ type FlowRecord struct {
 func (r *FlowRecord) Duration() time.Duration { return r.LastPacket - r.FirstPacket }
 
 // csvHeader lists the exported columns, in order.
-var csvHeader = []string{
+var csvHeader = [...]string{
 	"vp", "client", "server", "cport", "sport",
 	"first", "last", "last_payload_up", "last_payload_down",
 	"bytes_up", "bytes_down", "pkts_up", "pkts_down",
@@ -326,82 +323,4 @@ func (w *Writer) Flush() error {
 		w.nbytes = 0
 	}
 	return w.err
-}
-
-// Reader parses flow-record CSV back into records. An anonymized client
-// column (the "h" + 12-hex-digit token) reads back as address 0: the
-// token itself is not carried into the record.
-type Reader struct {
-	cr     *csv.Reader
-	header bool
-}
-
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader {
-	cr := csv.NewReader(bufio.NewReader(r))
-	cr.FieldsPerRecord = len(csvHeader)
-	return &Reader{cr: cr}
-}
-
-// Read returns the next record, or io.EOF.
-func (r *Reader) Read() (*FlowRecord, error) {
-	if !r.header {
-		if _, err := r.cr.Read(); err != nil {
-			return nil, err
-		}
-		r.header = true
-	}
-	row, err := r.cr.Read()
-	if err != nil {
-		return nil, err
-	}
-	rec := &FlowRecord{VP: row[0]}
-	rec.Client = parseIP(row[1])
-	rec.Server = parseIP(row[2])
-	rec.ClientPort = uint16(atoi(row[3]))
-	rec.ServerPort = uint16(atoi(row[4]))
-	rec.FirstPacket = time.Duration(atoi64(row[5]))
-	rec.LastPacket = time.Duration(atoi64(row[6]))
-	rec.LastPayloadUp = time.Duration(atoi64(row[7]))
-	rec.LastPayloadDown = time.Duration(atoi64(row[8]))
-	rec.BytesUp = atoi64(row[9])
-	rec.BytesDown = atoi64(row[10])
-	rec.PktsUp = atoi(row[11])
-	rec.PktsDown = atoi(row[12])
-	rec.PSHUp = atoi(row[13])
-	rec.PSHDown = atoi(row[14])
-	rec.RetransUp = atoi(row[15])
-	rec.RetransDown = atoi(row[16])
-	rec.MinRTT = time.Duration(atoi64(row[17])) * time.Microsecond
-	rec.RTTSamples = atoi(row[18])
-	rec.SNI, rec.CertName, rec.FQDN = row[19], row[20], row[21]
-	rec.NotifyHost = uint64(atoi64(row[22]))
-	if row[23] != "" {
-		for _, part := range strings.Split(row[23], ";") {
-			rec.NotifyNamespaces = append(rec.NotifyNamespaces, uint32(atoi64(part)))
-		}
-	}
-	rec.SawSYN = row[24] == "1"
-	rec.SawFIN = row[25] == "1"
-	rec.SawRST = row[26] == "1"
-	rec.ServerClosed = row[27] == "1"
-	return rec, nil
-}
-
-func parseIP(s string) wire.IP {
-	var a, b, c, d byte
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return 0 // anonymized token
-	}
-	return wire.MakeIP(a, b, c, d)
-}
-
-func atoi(s string) int {
-	v, _ := strconv.Atoi(s)
-	return v
-}
-
-func atoi64(s string) int64 {
-	v, _ := strconv.ParseInt(s, 10, 64)
-	return v
 }

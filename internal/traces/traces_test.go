@@ -122,3 +122,19 @@ func BenchmarkWrite(b *testing.B) {
 	}
 	w.Flush()
 }
+
+func BenchmarkRead(b *testing.B) {
+	recs := make([]*FlowRecord, 1024)
+	for i := range recs {
+		recs[i] = sampleRecord()
+		recs[i].BytesUp = int64(i)
+	}
+	data := writeCSV(b, recs, true)
+	r := NewReader(&loopReader{head: data[:len(csvHeaderLine)], rows: data[len(csvHeaderLine):]})
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := r.Read(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
